@@ -47,6 +47,8 @@ def tensor_from_bytes(buf, offset=0):
     """Parse one container; returns (array, bytes consumed)."""
     if buf[offset:offset + 4] != MAGIC:
         raise FormatError("bad magic, not a TENB container")
+    if len(buf) - offset < 7:
+        raise FormatError("truncated container header")
     if buf[offset + 4] != VERSION:
         raise FormatError(f"unsupported version {buf[offset + 4]}")
     code = buf[offset + 5]
@@ -54,10 +56,10 @@ def tensor_from_bytes(buf, offset=0):
         raise FormatError(f"unknown dtype code {code}")
     ndim = buf[offset + 6]
     pos = offset + 7
-    shape = []
-    for _ in range(ndim):
-        shape.append(struct.unpack_from("<I", buf, pos)[0])
-        pos += 4
+    if len(buf) - pos < 4 * ndim:
+        raise FormatError(f"truncated container extents ({ndim} expected)")
+    shape = list(struct.unpack_from(f"<{ndim}I", buf, pos))
+    pos += 4 * ndim
     dtype = _DTYPE_CODES[code]
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
     nbytes = count * dtype.itemsize

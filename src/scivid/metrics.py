@@ -42,30 +42,22 @@ def psnr(a, b, peak=1.0):
     return per_frame, float(np.mean(per_frame))
 
 
-def gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
+def _gaussian_1d(size, sigma):
     half = (size - 1) / 2.0
-    coords = np.arange(size) - half
-    g = np.exp(-(coords ** 2) / (2.0 * sigma ** 2))
-    kernel = np.outer(g, g)
-    return kernel / kernel.sum()
+    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma ** 2))
+    return g / g.sum()
 
 
-def _ssim_plane(a, b, kernel, c1, c2):
-    win = kernel.shape[0]
-    wa = sliding_window_view(a, (win, win))
-    wb = sliding_window_view(b, (win, win))
-    k = kernel[None, None]
-    mu_a = (wa * k).sum(axis=(-1, -2))
-    mu_b = (wb * k).sum(axis=(-1, -2))
-    ea = (wa * wa * k).sum(axis=(-1, -2))
-    eb = (wb * wb * k).sum(axis=(-1, -2))
-    eab = (wa * wb * k).sum(axis=(-1, -2))
-    var_a = ea - mu_a ** 2
-    var_b = eb - mu_b ** 2
-    cov = eab - mu_a * mu_b
-    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-    den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+def gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
+    g = _gaussian_1d(size, sigma)
+    return np.outer(g, g)
+
+
+def _filter(x, g):
+    """Valid-mode Gaussian filter of the trailing two axes: the 2-D window
+    is separable, so it runs as one 1-D pass along W, then one along H."""
+    x = sliding_window_view(x, g.size, axis=-1) @ g
+    return sliding_window_view(x, g.size, axis=-2) @ g
 
 
 def ssim(a, b, peak=1.0, window=SSIM_WINDOW, sigma=SSIM_SIGMA,
@@ -81,14 +73,16 @@ def ssim(a, b, peak=1.0, window=SSIM_WINDOW, sigma=SSIM_SIGMA,
     h, w = fa.shape[2:]
     if h < window or w < window:
         raise ValueError(f"frames {h}x{w} smaller than SSIM window {window}")
-    kernel = gaussian_window(window, sigma)
+    g = _gaussian_1d(window, sigma)
     c1 = (k1 * peak) ** 2
     c2 = (k2 * peak) ** 2
-    per_frame = []
-    for m in range(fa.shape[0]):
-        vals = [_ssim_plane(fa[m, c], fb[m, c], kernel, c1, c2)
-                for c in range(fa.shape[1])]
-        per_frame.append(float(np.mean(vals)))
+    mu_a, mu_b = _filter(fa, g), _filter(fb, g)
+    var_a = _filter(fa * fa, g) - mu_a ** 2
+    var_b = _filter(fb * fb, g) - mu_b ** 2
+    cov = _filter(fa * fb, g) - mu_a * mu_b
+    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+    den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
+    per_frame = [float(v) for v in (num / den).mean(axis=(2, 3)).mean(axis=1)]
     return per_frame, float(np.mean(per_frame))
 
 

@@ -5,6 +5,14 @@ checking). Recording is implicit: every operator links its output back to
 its inputs, and ``backward`` replays adjoints in reverse topological
 order.  Tensors that take part in a recorded graph must not be mutated in
 place afterwards.
+
+Convolution has one kernel: ``conv2d`` is ``conv3d`` with T = kt = 1.  The
+forward builds im2col columns one tile at a time (one batch item and a
+block of output frames, under the ``_TILE_BYTES`` budget) and runs one
+GEMM per tile; a 1x1x1 stride-1 conv uses the input itself as its columns,
+a plain channel matmul.  Backward rebuilds each tile's columns for the
+weight gradient instead of keeping them on the graph, and scatter-adds
+``W^T @ G`` back into the input gradient (col2im).
 """
 
 from __future__ import annotations
@@ -14,10 +22,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float32
 LEAKY_SLOPE = 0.01
+
+# Byte budget of one tile's im2col columns: bounds a conv's working memory
+# at any input size.
+_TILE_BYTES = 64 << 20
 
 _grad_enabled = True
 _active_counter = None
@@ -430,88 +441,106 @@ def _conv_check(in_extent, k, pad, stride, axis_name):
     return span // stride + 1
 
 
-def conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0)):
-    """2-D cross-correlation over [N, Cin, H, W] with zero padding."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-D input and weight, got {x.shape} and {w.shape}")
-    n, cin, h, wd = x.shape
-    cout, cin_w, kh, kw = w.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv2d channel mismatch: input has {cin}, weight expects {cin_w}")
-    sh, sw = stride
-    ph, pw = padding
-    ho = _conv_check(h, kh, ph, sh, "H")
-    wo = _conv_check(wd, kw, pw, sw, "W")
+def _taps(kernel, stride, t0, t1, ho, wo):
+    """Each kernel tap (i, j, k) with the slices of the padded input that it
+    reads for output frames t0:t1."""
+    st, sh, sw = stride
+    for i, j, k in np.ndindex(*kernel):
+        yield (i, j, k), (slice(i + st * t0, i + st * (t1 - 1) + 1, st),
+                          slice(j, j + sh * (ho - 1) + 1, sh),
+                          slice(k, k + sw * (wo - 1) + 1, sw))
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    data = np.einsum("nchwkl,ockl->nohw", windows, w.data, optimize=True)
-    _count("conv2d", n * cout * ho * wo * cin * kh * kw)
+
+def _im2col(xp, item, t0, t1, kernel, stride, ho, wo):
+    """Columns [cin*kt*kh*kw, (t1-t0)*ho*wo] of one tile; rows in weight order."""
+    cin = xp.shape[1]
+    if kernel == (1, 1, 1) and stride == (1, 1, 1):
+        return xp[item, :, t0:t1].reshape(cin, -1)  # a channel matmul: no copy
+    cols = np.empty((cin,) + kernel + (t1 - t0, ho, wo), dtype=xp.dtype)
+    for tap, win in _taps(kernel, stride, t0, t1, ho, wo):
+        cols[(slice(None),) + tap] = xp[(item, slice(None)) + win]
+    return cols.reshape(-1, (t1 - t0) * ho * wo)
+
+
+def _col2im(gxp, dcols, item, t0, t1, kernel, stride, ho, wo):
+    """Scatter-add one tile's column gradients into the padded input gradient."""
+    dcols = dcols.reshape((gxp.shape[1],) + kernel + (t1 - t0, ho, wo))
+    for tap, win in _taps(kernel, stride, t0, t1, ho, wo):
+        gxp[(item, slice(None)) + win] += dcols[(slice(None),) + tap]
+
+
+def _conv(label, x, w, b, stride, padding):
+    """Cross-correlation body shared by :func:`conv2d` and :func:`conv3d`.
+
+    Both run as a 3-D conv over [N, Cin, T, H, W] (conv2d with T = kt = 1):
+    each tile's im2col columns feed one GEMM forward and two in backward.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    nd = 5 if label == "conv3d" else 4
+    if x.ndim != nd or w.ndim != nd:
+        raise ShapeError(f"{label} expects {nd}-D input and weight, got {x.shape} and {w.shape}")
+    n, cin = x.shape[:2]
+    cout, cin_w = w.shape[:2]
+    if cin != cin_w:
+        raise ShapeError(f"{label} channel mismatch: input has {cin}, weight expects {cin_w}")
     if b is not None:
         b = _as_tensor(b)
         if b.shape != (cout,):
-            raise ShapeError(f"conv2d bias shape {b.shape} != ({cout},)")
-        data = data + b.data[None, :, None, None]
+            raise ShapeError(f"{label} bias shape {b.shape} != ({cout},)")
+    lift = (1,) * (5 - nd)
+    in_ext = lift + x.shape[2:]
+    kernel = lift + w.shape[2:]
+    stride = lift + tuple(stride)
+    padding = (0,) * (5 - nd) + tuple(padding)
+    out_ext = tuple(_conv_check(e, k, p, s, a) for e, k, p, s, a
+                    in zip(in_ext, kernel, padding, stride, "THW"))
+    to, ho, wo = out_ext
+    xp = x.data.reshape((n, cin) + in_ext)
+    if any(padding):
+        xp = np.pad(xp, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+    w2 = w.data.reshape(cout, -1)
+    _count(label, n * cout * to * ho * wo * w2.shape[1])
+    dtype = np.result_type(xp, w2)
+    # tiles: one batch item and a block of output frames whose columns fit
+    step = max(1, _TILE_BYTES // (w2.shape[1] * ho * wo * dtype.itemsize))
+    tiles = [(i, t0, min(t0 + step, to)) for i in range(n) for t0 in range(0, to, step)]
+    out = np.empty((n, cout) + out_ext, dtype=dtype)
+    for item, t0, t1 in tiles:
+        cols = _im2col(xp, item, t0, t1, kernel, stride, ho, wo)
+        out[item, :, t0:t1] = (w2 @ cols).reshape(cout, t1 - t0, ho, wo)
+    if b is not None:
+        out += b.data.reshape(cout, 1, 1, 1)
     parents = (x, w) if b is None else (x, w, b)
 
     def backward_fn(g):
-        if w.requires_grad:
-            _accumulate(w, np.einsum("nchwkl,nohw->ockl", windows, g, optimize=True))
+        g = g.reshape(out.shape)
         if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.einsum(
-                        "nohw,oc->nchw", g, w.data[:, :, i, j], optimize=True)
-            _accumulate(x, gxp[:, :, ph:ph + h, pw:pw + wd])
+            _accumulate(b, g.sum(axis=(0, 2, 3, 4)))
+        gw = np.zeros_like(w2) if w.requires_grad else None
+        gxp = np.zeros(xp.shape, dtype=dtype) if x.requires_grad else None
+        for item, t0, t1 in tiles:
+            gt = g[item, :, t0:t1].reshape(cout, -1)
+            if gw is not None:
+                gw += gt @ _im2col(xp, item, t0, t1, kernel, stride, ho, wo).T
+            if gxp is not None:
+                _col2im(gxp, w2.T @ gt, item, t0, t1, kernel, stride, ho, wo)
+        if gw is not None:
+            _accumulate(w, gw.reshape(w.shape))
+        if gxp is not None:
+            crop = tuple(slice(p, p + e) for e, p in zip(in_ext, padding))
+            _accumulate(x, gxp[(Ellipsis,) + crop].reshape(x.shape))
 
-    return _make(data, parents, backward_fn)
+    return _make(out.reshape((n, cout) + out_ext[5 - nd:]), parents, backward_fn)
+
+
+def conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0)):
+    """2-D cross-correlation over [N, Cin, H, W] with zero padding."""
+    return _conv("conv2d", x, w, b, stride, padding)
 
 
 def conv3d(x, w, b=None, stride=(1, 1, 1), padding=(0, 0, 0)):
     """3-D cross-correlation over [N, Cin, T, H, W] with zero padding."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.ndim != 5 or w.ndim != 5:
-        raise ShapeError(f"conv3d expects 5-D input and weight, got {x.shape} and {w.shape}")
-    n, cin, t, h, wd = x.shape
-    cout, cin_w, kt, kh, kw = w.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv3d channel mismatch: input has {cin}, weight expects {cin_w}")
-    st, sh, sw = stride
-    pt, ph, pw = padding
-    to = _conv_check(t, kt, pt, st, "T")
-    ho = _conv_check(h, kh, ph, sh, "H")
-    wo = _conv_check(wd, kw, pw, sw, "W")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(xp, (kt, kh, kw), axis=(2, 3, 4))[:, :, ::st, ::sh, ::sw]
-    data = np.einsum("ncthwijk,ocijk->nothw", windows, w.data, optimize=True)
-    _count("conv3d", n * cout * to * ho * wo * cin * kt * kh * kw)
-    if b is not None:
-        b = _as_tensor(b)
-        if b.shape != (cout,):
-            raise ShapeError(f"conv3d bias shape {b.shape} != ({cout},)")
-        data = data + b.data[None, :, None, None, None]
-    parents = (x, w) if b is None else (x, w, b)
-
-    def backward_fn(g):
-        if w.requires_grad:
-            _accumulate(w, np.einsum("ncthwijk,nothw->ocijk", windows, g, optimize=True))
-        if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=(0, 2, 3, 4)))
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for i in range(kt):
-                for j in range(kh):
-                    for k in range(kw):
-                        gxp[:, :, i:i + st * to:st, j:j + sh * ho:sh, k:k + sw * wo:sw] += np.einsum(
-                            "nothw,oc->ncthw", g, w.data[:, :, i, j, k], optimize=True)
-            _accumulate(x, gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd])
-
-    return _make(data, parents, backward_fn)
+    return _conv("conv3d", x, w, b, stride, padding)
 
 
 # -- pixel shuffle --------------------------------------------------------

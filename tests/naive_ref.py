@@ -8,6 +8,15 @@ import math
 
 import numpy as np
 
+# The conv3d geometries of the network, at test sizes:
+# name -> (input shape, weight shape, stride, padding).
+NETWORK_CONV3D = {
+    "stem.conv3": ((1, 2, 3, 5, 5), (2, 2, 3, 3, 3), (1, 2, 2), (1, 0, 0)),
+    "stem.conv1": ((1, 1, 3, 4, 5), (2, 1, 3, 7, 7), (1, 1, 1), (1, 3, 3)),
+    "1x1x1": ((1, 3, 2, 3, 3), (2, 3, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+    "batch2": ((2, 2, 3, 3, 3), (2, 2, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+}
+
 
 def conv2d_loops(x, w, b, stride, padding):
     n, cin, h, wd = x.shape

@@ -4,6 +4,10 @@ import pytest
 from scivid import tensor as tn
 from scivid.tensor import Tensor, backward, grad_check
 
+from naive_ref import NETWORK_CONV3D
+
+CONV3D_CASES = dict(NETWORK_CONV3D, base=((1, 2, 3, 4, 4), (2, 2, 3, 3, 3), (1, 1, 1), (1, 1, 1)))
+
 
 def leaf(rng, *shape, name=None):
     return Tensor(rng.standard_normal(shape), requires_grad=True,
@@ -108,14 +112,18 @@ class TestGradCheckOperators:
             [x, w, b])
         assert report.passed, str(report)
 
-    def test_conv3d(self):
-        rng = np.random.default_rng(10)
-        x, w, b = leaf(rng, 1, 2, 3, 4, 4), leaf(rng, 2, 2, 3, 3, 3), leaf(rng, 2)
-        report = grad_check(
-            lambda u, v, c: tn.tsum(tn.mul(tn.conv3d(u, v, c, (1, 1, 1), (1, 1, 1)),
-                                           tn.conv3d(u, v, c, (1, 1, 1), (1, 1, 1)))),
-            [x, w, b])
-        assert report.passed, str(report)
+    def test_conv3d(self, monkeypatch):
+        # each geometry with the default tile budget, then one frame per tile
+        for tile_bytes in (tn._TILE_BYTES, 1):
+            monkeypatch.setattr(tn, "_TILE_BYTES", tile_bytes)
+            for case, (x_shape, w_shape, stride, padding) in CONV3D_CASES.items():
+                rng = np.random.default_rng(10)
+                x, w, b = leaf(rng, *x_shape), leaf(rng, *w_shape), leaf(rng, w_shape[0])
+                report = grad_check(
+                    lambda u, v, c: tn.tsum(tn.mul(tn.conv3d(u, v, c, stride, padding),
+                                                   tn.conv3d(u, v, c, stride, padding))),
+                    [x, w, b])
+                assert report.passed, f"{case}, tile budget {tile_bytes}\n{report}"
 
     def test_pixel_shuffle(self):
         rng = np.random.default_rng(11)

@@ -160,6 +160,16 @@ class TestTrainEval:
         assert run(["eval", "--pred", p, "--truth", p]) == 0
         assert "n/a" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cut", [4, 10])
+    def test_eval_truncated_header_is_format_error(self, tmp_path, capsys, cut):
+        good = tmp_path / "a.tenb"
+        container.write_tensor(good, np.zeros((2, 1, 8, 8)))
+        bad = tmp_path / "cut.tenb"
+        bad.write_bytes(good.read_bytes()[:cut])
+        assert run(["eval", "--pred", bad, "--truth", good]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "truncated" in err and "Traceback" not in err
+
 
 class TestComplexity:
     def test_report_contents(self, capsys):

@@ -6,6 +6,8 @@ from scivid import network as net
 from scivid import tensor as tn
 from scivid.tensor import Tensor
 
+from naive_ref import NETWORK_CONV3D
+
 MICRO = net.NetworkConfig(channels=8, blocks=1, split=2, heads=1)
 
 
@@ -100,6 +102,24 @@ class TestMeasuredAgainstAnalytic:
         assert counter.total("conv2d") == expect
         # dominant single conv matches the published-per-layer term
         assert counter.largest("conv2d") == h * w * t * 9 * c * half
+
+    @pytest.mark.parametrize("op, x_shape, w_shape, stride, padding", [
+        (tn.conv2d, (3, 4, 6, 6), (2, 4, 3, 3), (1, 1), (1, 1)),
+        (tn.conv2d, (2, 2, 5, 5), (3, 2, 3, 3), (2, 2), (1, 1)),
+        (tn.conv2d, (2, 3, 4, 4), (2, 3, 1, 1), (1, 1), (0, 0)),
+    ] + [(tn.conv3d,) + geometry for geometry in NETWORK_CONV3D.values()])
+    def test_conv_backward_records_no_multiplies(self, op, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+        w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+        b = Tensor(rng.standard_normal(w_shape[0]), requires_grad=True)
+        with tn.count_multiplies() as counter:
+            out = op(x, w, b, stride, padding)
+            tn.backward(tn.tsum(out))
+        n, cout = out.shape[:2]
+        expect = n * cout * int(np.prod(out.shape[2:])) * int(np.prod(w_shape[1:]))
+        assert counter.events == [(op.__name__, expect)]
+        assert x.grad is not None and w.grad is not None and b.grad is not None
 
     def test_temporal_branch_matmuls(self):
         params = net.build_network(MICRO, seed=0, dtype=np.float64)

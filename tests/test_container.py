@@ -59,6 +59,12 @@ class TestTensorContainer:
         with pytest.raises(ct.FormatError, match="truncated"):
             ct.tensor_from_bytes(buf[:-4])
 
+    def test_truncated_header_and_extents(self):
+        buf = ct.tensor_to_bytes(np.ones((2, 3), dtype=np.float32))
+        for cut in (4, 6, 7, 10, 14):  # inside the header, then inside the extents
+            with pytest.raises(ct.FormatError, match="truncated"):
+                ct.tensor_from_bytes(buf[:cut])
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "t.tenb"
         path.write_bytes(ct.tensor_to_bytes(np.ones(2, np.float32)) + b"xx")

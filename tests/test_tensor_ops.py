@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from scivid import tensor as tn
 from scivid.tensor import Tensor
 
-from naive_ref import conv2d_loops, conv3d_loops
+from naive_ref import NETWORK_CONV3D, conv2d_loops, conv3d_loops
 
 
 def rand(rng, *shape):
@@ -185,8 +185,17 @@ class TestRandomizedAgainstLoops:
             scale = max(1.0, np.abs(ref).max())
             assert np.max(np.abs(out.data - ref)) <= 1e-12 * scale
 
-    def test_conv3d_random_cases(self):
+    def test_conv3d_random_cases(self, monkeypatch):
         rng = np.random.default_rng(11)
+        # the network's geometries with the default tile budget, then one frame per tile
+        for tile_bytes in (tn._TILE_BYTES, 1):
+            monkeypatch.setattr(tn, "_TILE_BYTES", tile_bytes)
+            for x_shape, w_shape, stride, padding in NETWORK_CONV3D.values():
+                x, wt, b = rand(rng, *x_shape), rand(rng, *w_shape), rand(rng, w_shape[0])
+                out = tn.conv3d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding)
+                ref = conv3d_loops(x, wt, b, stride, padding)
+                assert np.max(np.abs(out.data - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
+        monkeypatch.undo()
         for _ in range(40):
             cin, cout = rng.integers(1, 3), rng.integers(1, 3)
             kt, kh, kw = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 4)
