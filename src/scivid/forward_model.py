@@ -33,8 +33,9 @@ class MaskSet:
         self.masks = np.asarray(self.masks, dtype=np.float64)
         if self.masks.ndim != 3:
             raise ValueError(f"masks must be [B, H, W], got shape {self.masks.shape}")
-        if self.masks.min() < 0 or self.masks.max() > 1:
-            raise ValueError("mask values must lie in [0, 1]")
+        # NaN fails both comparisons, as a bound outside [0, 1] fails one
+        if not (self.masks.min() >= 0 and self.masks.max() <= 1):
+            raise ValueError("mask values must be finite and lie in [0, 1]")
 
     @property
     def b(self):
@@ -90,6 +91,15 @@ class VideoCube:
     @property
     def spatial(self):
         return self.frames.shape[2:]
+
+
+def check_measurement_masks(y, masks):
+    """Raise ValueError unless ``masks`` has the measurement's B and [H, W]."""
+    if masks.b != y.b:
+        raise ValueError(f"mask count {masks.b} != measurement B {y.b}")
+    if masks.frame_shape != y.y.shape:
+        raise ValueError(
+            f"mask extents {masks.frame_shape} != measurement extents {y.y.shape}")
 
 
 def generate_masks(b, h, w, density=0.5, seed=0):
@@ -205,6 +215,7 @@ def estimation_init(y, masks, dtype=np.float32, return_diagnostics=False):
     pairs are each processed independently and stacked as 4 channels at
     half resolution, Tensor [B, 4, H/2, W/2].
     """
+    check_measurement_masks(y, masks)
     if y.color_mode == "gray":
         est = _estimate_plane(y.y, masks.masks)[:, None]
         flagged = zero_coverage_mask(masks)

@@ -32,14 +32,13 @@ def psnr(a, b, peak=1.0):
     fa, fb = _frames(a), _frames(b)
     if fa.shape != fb.shape:
         raise ValueError(f"shape mismatch: {fa.shape} vs {fb.shape}")
-    per_frame = []
-    for m in range(fa.shape[0]):
-        mse = np.mean((fa[m] - fb[m]) ** 2)
-        if mse == 0.0:
-            per_frame.append(PSNR_CAP)
-        else:
-            per_frame.append(min(10.0 * np.log10(peak * peak / mse), PSNR_CAP))
-    return per_frame, float(np.mean(per_frame))
+    err = np.subtract(fa, fb, out=fa)  # fa is _frames' own clipped copy
+    np.square(err, out=err)
+    mse = err.reshape(len(err), -1).mean(axis=1)
+    exact = mse == 0.0
+    db = 10.0 * np.log10(peak * peak / np.where(exact, 1.0, mse))
+    per_frame = np.where(exact, PSNR_CAP, np.minimum(db, PSNR_CAP))
+    return per_frame.tolist(), float(np.mean(per_frame))
 
 
 def _gaussian_1d(size, sigma):

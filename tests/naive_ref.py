@@ -142,3 +142,56 @@ def scb_frame_loops(x, w1, b1, w2, b2, slope=0.01):
         mid = np.where(mid > 0, mid, slope * mid)
         frames.append(conv2d_loops(mid, w2, b2, (1, 1), (1, 1))[0])
     return np.stack(frames)
+
+
+def grad2d(u):
+    """Forward differences of one [H, W] frame, zero in the last row/column."""
+    gx = np.zeros_like(u)
+    gy = np.zeros_like(u)
+    gx[:-1, :] = u[1:, :] - u[:-1, :]
+    gy[:, :-1] = u[:, 1:] - u[:, :-1]
+    return gx, gy
+
+
+def div2d(p1, p2):
+    """Discrete divergence, the negative adjoint of ``grad2d``."""
+    d = np.zeros_like(p1)
+    d[0, :] = p1[0, :]
+    d[1:-1, :] = p1[1:-1, :] - p1[:-2, :]
+    d[-1, :] = -p1[-2, :]
+    d2 = np.zeros_like(p2)
+    d2[:, 0] = p2[:, 0]
+    d2[:, 1:-1] = p2[:, 1:-1] - p2[:, :-2]
+    d2[:, -1] = -p2[:, -2]
+    return d + d2
+
+
+def tv_denoise_frame(f, weight, inner_iters):
+    """Anisotropic dual TV of one frame (Chambolle 2004): projected gradient
+    descent on min_{|p|<=1} ||w div p - f||^2, then u = f - w div p."""
+    p1 = np.zeros_like(f)
+    p2 = np.zeros_like(f)
+    step = 1.0 / (8.0 * weight)
+    for _ in range(inner_iters):
+        u = f - weight * div2d(p1, p2)
+        gx, gy = grad2d(u)
+        p1 = np.clip(p1 - step * gx, -1.0, 1.0)
+        p2 = np.clip(p2 - step * gy, -1.0, 1.0)
+    return f - weight * div2d(p1, p2)
+
+
+def gap_tv_plane(y_plane, masks, iters, tv_weight, tv_inner, projection):
+    """GAP-TV on one measurement plane, one frame of TV at a time.
+
+    ``projection(x, y_plane, masks)`` is the library's measurement step,
+    which the tests check separately against the projection property.
+    """
+    phi = masks.masks
+    phi_sum = phi.sum(axis=0)
+    denom = np.where(phi_sum == 0.0, 1e-6, phi_sum)
+    x = phi * (y_plane / denom)[None]
+    for _ in range(iters):
+        x = projection(x, y_plane, masks)
+        if tv_weight > 0:
+            x = np.stack([tv_denoise_frame(fr, tv_weight, tv_inner) for fr in x])
+    return x

@@ -110,6 +110,17 @@ class TestReconstruct:
                     "--method", "net", "--checkpoint", ckpt, "--variant", "T",
                     "--out", tmp / "r"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("shape", [(4, 16, 8), (4, 1, 16), (3, 16, 16)])
+    def test_gaptv_mismatched_masks_is_usage_error(self, measurement_files, capsys, shape):
+        tmp, _, meas_path, _ = measurement_files
+        bad = tmp / "bad_masks.tenb"
+        container.write_tensor(bad, np.ones(shape))
+        assert run(["reconstruct", "--measurement", meas_path, "--masks", bad,
+                    "--method", "gaptv", "--iters", 2, "--out", tmp / "r"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp / "r").exists()
+
 
 class TestTrainEval:
     def test_train_then_reconstruct_and_eval(self, tmp_path, capsys):

@@ -30,6 +30,15 @@ class TestMasks:
         masks = fm.generate_masks(8, 64, 64, seed=0)
         assert abs(masks.masks.mean() - 0.5) < 0.02
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        m = np.zeros((2, 4, 4))
+        m[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fm.MaskSet(m)
+        with pytest.raises(ValueError, match="finite"):
+            fm.MaskSet(np.full((2, 4, 4), bad))
+
 
 class TestEncode:
     def test_matches_dense_sensing_matrix(self):
@@ -151,3 +160,32 @@ class TestEstimationInit:
         masks = fm.generate_masks(4, 8, 8, seed=14)
         est = fm.estimation_init(fm.encode(vid, masks), masks)
         assert est.data.dtype == np.float32
+
+
+class TestMeasurementMaskAgreement:
+    def test_matching_pair_passes(self):
+        masks = fm.generate_masks(4, 8, 6, seed=15)
+        fm.check_measurement_masks(fm.encode(small_scene(b=4, h=8, w=6), masks), masks)
+
+    def test_frame_count_mismatch(self):
+        meas = fm.encode(small_scene(b=8, h=8, w=8, seed=16), fm.generate_masks(8, 8, 8))
+        masks = fm.generate_masks(4, 8, 8, seed=17)
+        with pytest.raises(ValueError, match="mask count 4 != measurement B 8"):
+            fm.check_measurement_masks(meas, masks)
+        with pytest.raises(ValueError, match="mask count"):
+            fm.estimation_init(meas, masks)
+
+    @pytest.mark.parametrize("shape", [(8, 1, 8), (8, 8, 1), (8, 4, 8), (8, 8, 16)])
+    def test_extent_mismatch(self, shape):
+        meas = fm.encode(small_scene(b=8, h=8, w=8, seed=18), fm.generate_masks(8, 8, 8))
+        masks = fm.MaskSet(np.ones(shape))
+        with pytest.raises(ValueError, match="extents"):
+            fm.check_measurement_masks(meas, masks)
+        with pytest.raises(ValueError, match="extents"):
+            fm.estimation_init(meas, masks)
+
+    def test_bayer_extent_mismatch(self):
+        vid = small_scene(b=4, h=8, w=8, seed=19, color=True)
+        meas = fm.encode(vid, fm.generate_masks(4, 8, 8))
+        with pytest.raises(ValueError, match="extents"):
+            fm.estimation_init(meas, fm.generate_masks(4, 8, 4))

@@ -5,6 +5,7 @@ from scivid import forward_model as fm
 from scivid import gaptv
 from scivid.metrics import psnr
 from scivid.training import make_synthetic_dataset
+from naive_ref import gap_tv_plane, tv_denoise_frame
 
 
 def scene(b=4, h=16, w=16, seed=0):
@@ -59,6 +60,83 @@ class TestTvDenoise:
         assert out.frames.shape == vid.frames.shape
 
 
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture(params=[1, 2], ids=["1worker", "2workers"])
+def workers(request, monkeypatch):
+    monkeypatch.setattr(gaptv, "_usable_cores", lambda: request.param)
+    return request.param
+
+
+def frames_per_block(monkeypatch, frame_shape, n):
+    monkeypatch.setattr(gaptv, "_BLOCK_BYTES", n * frame_shape[0] * frame_shape[1] * 8)
+
+
+class TestTvBlocksMatchPerFrameOracle:
+    # every frame must come out bit for bit as the per-frame TV gives it;
+    # in (4, 6, 8) a column is read at a 64-byte stride, where numpy 2.4's
+    # ``negative`` with a strided ``out`` goes wrong
+    @pytest.mark.parametrize("shape", [(5, 12, 12), (3, 7, 10), (4, 2, 9), (5, 9, 2),
+                                       (4, 6, 8), (3, 2, 4), (2, 3, 8, 6), (1, 6, 6)])
+    @pytest.mark.parametrize("per_block", [1, 2, 1000],
+                             ids=["frame_blocks", "uneven_last_block", "one_block"])
+    def test_tv_denoise_equals_oracle(self, workers, monkeypatch, shape, per_block):
+        frames_per_block(monkeypatch, shape[-2:], per_block)
+        x = np.random.default_rng(sum(shape)).uniform(0, 1, shape)
+        out = gaptv.tv_denoise(x, 0.07, inner_iters=6)
+        flat = x.reshape((-1,) + shape[-2:])
+        ref = np.stack([tv_denoise_frame(f, 0.07, 6) for f in flat]).reshape(shape)
+        assert same_bits(out, ref)
+
+    def test_block_budget_below_one_frame_still_runs(self, workers, monkeypatch):
+        monkeypatch.setattr(gaptv, "_BLOCK_BYTES", 1)
+        x = np.random.default_rng(20).uniform(0, 1, (3, 5, 5))
+        ref = np.stack([tv_denoise_frame(f, 0.1, 4) for f in x])
+        assert same_bits(gaptv.tv_denoise(x, 0.1, inner_iters=4), ref)
+
+    def test_more_workers_than_frames(self, monkeypatch):
+        monkeypatch.setattr(gaptv, "_usable_cores", lambda: 8)
+        x = np.random.default_rng(21).uniform(0, 1, (3, 6, 6))
+        ref = np.stack([tv_denoise_frame(f, 0.1, 4) for f in x])
+        assert same_bits(gaptv.tv_denoise(x, 0.1, inner_iters=4), ref)
+
+    def test_input_not_mutated(self, workers):
+        x = np.random.default_rng(22).uniform(0, 1, (4, 1, 8, 8))
+        before = x.copy()
+        vid = fm.VideoCube(x.copy())
+        out = gaptv.tv_denoise(x, 0.1)
+        out_vid = gaptv.tv_denoise(vid, 0.1)
+        assert same_bits(x, before) and same_bits(vid.frames, before)
+        assert not np.shares_memory(out, x)
+        assert not np.shares_memory(out_vid.frames, vid.frames)
+        assert same_bits(out, out_vid.frames)
+
+    @pytest.mark.parametrize("h,w", [(16, 16), (12, 10)])
+    def test_gray_reconstruct_equals_oracle(self, workers, monkeypatch, h, w):
+        frames_per_block(monkeypatch, (h, w), 3)
+        vid, masks, meas = scene(b=5, h=h, w=w, seed=23)
+        out = gaptv.gap_tv_reconstruct(meas, masks, iters=4, tv_weight=0.05, tv_inner=5)
+        ref = gap_tv_plane(meas.y, masks, 4, 0.05, 5, gaptv.gap_projection)
+        assert same_bits(out.frames[:, 0], ref)
+
+    def test_bayer_reconstruct_equals_oracle(self, workers, monkeypatch):
+        frames_per_block(monkeypatch, (6, 8), 3)
+        gray = make_synthetic_dataset(1, 5, 12, 16, seed=24)[0].frames[:, 0]
+        vid = fm.VideoCube(np.stack([0.9 * gray, 0.7 * gray, 0.5 * gray], axis=1))
+        masks = fm.generate_masks(5, 12, 16, seed=25)
+        meas = fm.encode(vid, masks)
+        out = gaptv.gap_tv_reconstruct(meas, masks, iters=4, tv_weight=0.05, tv_inner=5)
+        assert out.frames.shape == (5, 1, 12, 16)
+        for ro, co in fm.BAYER_OFFSETS.values():
+            sub_masks = fm.MaskSet(masks.masks[:, ro::2, co::2])
+            ref = gap_tv_plane(meas.y[ro::2, co::2], sub_masks, 4, 0.05, 5,
+                               gaptv.gap_projection)
+            assert same_bits(out.frames[:, 0, ro::2, co::2], ref)
+
+
 class TestGapProjection:
     def test_residual_zero_after_one_step(self):
         vid, masks, meas = scene(seed=4)
@@ -98,6 +176,12 @@ class TestGapTvReconstruct:
         bad = fm.generate_masks(3, 16, 16, seed=0)
         with pytest.raises(ValueError, match="mask count"):
             gaptv.gap_tv_reconstruct(meas, bad)
+
+    @pytest.mark.parametrize("shape", [(4, 1, 16), (4, 16, 1), (4, 8, 16)])
+    def test_mask_extent_mismatch(self, shape):
+        vid, masks, meas = scene(seed=9)
+        with pytest.raises(ValueError, match="extents"):
+            gaptv.gap_tv_reconstruct(meas, fm.MaskSet(np.ones(shape)))
 
     def test_deterministic(self):
         vid, masks, meas = scene(seed=10)
