@@ -196,11 +196,6 @@ def bayer_merge(subs):
     return out
 
 
-def zero_coverage_mask(masks):
-    """Pixels whose temporal mask sum is exactly zero (guarded in Eq.-style init)."""
-    return masks.masks.sum(axis=0) == 0.0
-
-
 def _estimate_plane(y_plane, mask_frames):
     mask_sum = mask_frames.sum(axis=0)
     denom = np.where(mask_sum == 0.0, ZERO_SUM_GUARD, mask_sum)
@@ -208,7 +203,7 @@ def _estimate_plane(y_plane, mask_frames):
     return y_bar[None] * mask_frames + y_bar[None]  # [B, H, W]
 
 
-def estimation_init(y, masks, dtype=np.float32, return_diagnostics=False):
+def estimation_init(y, masks, dtype=np.float32):
     """Closed-form coarse video estimate from measurement and masks.
 
     Grayscale: returns Tensor [B, 1, H, W].  Bayer: the four sub-measurement
@@ -218,17 +213,11 @@ def estimation_init(y, masks, dtype=np.float32, return_diagnostics=False):
     check_measurement_masks(y, masks)
     if y.color_mode == "gray":
         est = _estimate_plane(y.y, masks.masks)[:, None]
-        flagged = zero_coverage_mask(masks)
     else:
         subs = bayer_split(y, masks)
-        planes, flags = [], []
+        planes = []
         for key in ("r", "g1", "g2", "b"):
             sub_y, sub_m = subs[key]
             planes.append(_estimate_plane(sub_y.y, sub_m.masks))
-            flags.append(zero_coverage_mask(sub_m))
         est = np.stack(planes, axis=1)  # [B, 4, H/2, W/2]
-        flagged = np.stack(flags, axis=0)
-    x_e = Tensor(est.astype(dtype))
-    if return_diagnostics:
-        return x_e, flagged
-    return x_e
+    return Tensor(est.astype(dtype))

@@ -237,11 +237,7 @@ def _conv3d_frames(x, params, name, stride=(1, 1, 1), padding=None):
 def _pad_top_left(x):
     """Zero-pad one row and one column at the leading spatial edges so a
     stride-2 3x3 conv with no symmetric padding halves even extents exactly."""
-    t, c, h, w = x.shape
-    row = Tensor(np.zeros((t, c, 1, w), dtype=x.data.dtype))
-    x = tn.concat([row, x], axis=2)
-    col = Tensor(np.zeros((t, c, h + 1, 1), dtype=x.data.dtype))
-    return tn.concat([col, x], axis=3)
+    return tn.pad(x, ((0, 0), (0, 0), (1, 0), (1, 0)))
 
 
 def feature_extract(x_e, params, config):
@@ -256,8 +252,8 @@ def feature_extract(x_e, params, config):
     x = tn.leaky_relu(x)
     x = _conv3d_frames(x, params, "stem.conv2")
     x = tn.leaky_relu(x)
-    x = _conv3d_frames(_pad_top_left(x), params, "stem.conv3",
-                       stride=(1, 2, 2), padding=(1, 0, 0))
+    x = _pad_top_left(x)  # rebinding frees the unpadded activation under no_grad
+    x = _conv3d_frames(x, params, "stem.conv3", stride=(1, 2, 2), padding=(1, 0, 0))
     return tn.leaky_relu(x)
 
 

@@ -7,17 +7,28 @@ order.  Tensors that take part in a recorded graph must not be mutated in
 place afterwards.
 
 Convolution has one kernel: ``conv2d`` is ``conv3d`` with T = kt = 1.  The
-forward builds im2col columns one tile at a time (one batch item and a
-block of output frames, under the ``_TILE_BYTES`` budget) and runs one
-GEMM per tile; a 1x1x1 stride-1 conv uses the input itself as its columns,
-a plain channel matmul.  Backward rebuilds each tile's columns for the
-weight gradient instead of keeping them on the graph, and scatter-adds
-``W^T @ G`` back into the input gradient (col2im).
+forward builds im2col columns one tile at a time and runs one GEMM per
+tile, writing straight into the output.  A forward tile is one batch item
+and as many whole output frames as fit the cache-sized ``_COL_BYTES``
+budget, or a block of output rows of one frame when a single frame's
+columns exceed it.  Columns are read straight from the unpadded input: each
+kernel tap copies the slice clipped to the valid range, and only the strips
+that fall in the padding are zeroed, so no padded copy of the input is
+made.  A 1x1x1 stride-1 conv uses the input itself as its columns, a plain
+channel matmul.  Backward uses blocks of whole frames under the larger
+``_TILE_BYTES`` budget (the weight gradient's rounding depends on them),
+rebuilds each tile's columns for the weight gradient instead of keeping
+them on the graph, and scatter-adds ``W^T @ G`` straight into the unpadded
+input gradient (col2im).  At the network's shapes (output widths that are
+multiples of 16) a GEMM column's result does not depend on the other
+columns of its tile, so outputs are the same bits whatever the forward
+budget.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,8 +37,11 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 LEAKY_SLOPE = 0.01
 
-# Byte budget of one tile's im2col columns: bounds a conv's working memory
-# at any input size.
+# Byte budget of one forward tile's im2col columns: cache-sized, so that a
+# conv's working memory stays small at any input size.
+_COL_BYTES = 8 << 20
+# Byte budget of one backward tile's columns.  The weight gradient sums over
+# these tiles, so they set its rounding.
 _TILE_BYTES = 64 << 20
 
 _grad_enabled = True
@@ -36,18 +50,6 @@ _active_counter = None
 
 class ShapeError(ValueError):
     """Raised when operator input extents are inconsistent."""
-
-
-def set_default_dtype(dtype):
-    global DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported default dtype {dtype}")
-    DEFAULT_DTYPE = dtype.type
-
-
-def get_default_dtype():
-    return DEFAULT_DTYPE
 
 
 @contextlib.contextmanager
@@ -281,12 +283,17 @@ def div(a, b):
 
 
 def leaky_relu(x, slope=LEAKY_SLOPE):
+    """``max(x, slope * x)``, for 0 <= slope <= 1, in one buffer.
+
+    No mask is kept: backward rebuilds ``x > 0`` from the input, which graph
+    tensors never change.
+    """
     x = _as_tensor(x)
-    mask = x.data > 0
-    data = np.where(mask, x.data, slope * x.data)
+    data = np.multiply(x.data, slope)
+    np.maximum(data, x.data, out=data)
 
     def backward_fn(g):
-        _accumulate(x, np.where(mask, g, slope * g))
+        _accumulate(x, np.where(x.data > 0, g, slope * g))
 
     return _make(data, (x,), backward_fn)
 
@@ -334,6 +341,20 @@ def concat(tensors, axis=0):
     return _make(data, tuple(tensors), backward_fn)
 
 
+def pad(x, widths):
+    """Zero-pad by ``widths``, one (before, after) pair per axis, in one copy."""
+    x = _as_tensor(x)
+    inner = tuple(slice(lo, lo + e) for (lo, _), e in zip(widths, x.shape))
+    data = np.zeros(tuple(lo + e + hi for (lo, hi), e in zip(widths, x.shape)),
+                    dtype=x.data.dtype)
+    data[inner] = x.data
+
+    def backward_fn(g):
+        _accumulate(x, g[inner])
+
+    return _make(data, (x,), backward_fn)
+
+
 def split(x, parts, axis=0):
     """Split along ``axis`` into equal parts (int) or given sizes (list)."""
     x = _as_tensor(x)
@@ -362,7 +383,7 @@ def split(x, parts, axis=0):
             full[tuple(idx2)] = g
             _accumulate(x, full)
 
-        outs.append(_make(piece.copy(), (x,), backward_fn))
+        outs.append(_make(piece, (x,), backward_fn))  # a view: graph tensors are never mutated
     return outs
 
 
@@ -441,32 +462,88 @@ def _conv_check(in_extent, k, pad, stride, axis_name):
     return span // stride + 1
 
 
-def _taps(kernel, stride, t0, t1, ho, wo):
-    """Each kernel tap (i, j, k) with the slices of the padded input that it
-    reads for output frames t0:t1."""
-    st, sh, sw = stride
-    for i, j, k in np.ndindex(*kernel):
-        yield (i, j, k), (slice(i + st * t0, i + st * (t1 - 1) + 1, st),
-                          slice(j, j + sh * (ho - 1) + 1, sh),
-                          slice(k, k + sw * (wo - 1) + 1, sw))
+def _axis_clips(k, stride, pad, extent, a0, a1):
+    """Per kernel offset on one axis, for the output range [a0, a1): the
+    slice of the unpadded input it reads (None if it reads only padding),
+    the positions it fills, and the strips where its input is padding."""
+    clips = []
+    for i in range(k):
+        lo = min(max(a0, -((i - pad) // stride)), a1)
+        hi = max(lo, min(a1, (extent - 1 + pad - i) // stride + 1))
+        start = lo * stride + i - pad
+        src = slice(start, start + (hi - lo - 1) * stride + 1, stride) if hi > lo else None
+        strips = [s for s in (slice(0, lo - a0), slice(hi - a0, a1 - a0)) if s.stop > s.start]
+        clips.append((src, slice(lo - a0, hi - a0), strips))
+    return clips
 
 
-def _im2col(xp, item, t0, t1, kernel, stride, ho, wo):
-    """Columns [cin*kt*kh*kw, (t1-t0)*ho*wo] of one tile; rows in weight order."""
-    cin = xp.shape[1]
-    if kernel == (1, 1, 1) and stride == (1, 1, 1):
-        return xp[item, :, t0:t1].reshape(cin, -1)  # a channel matmul: no copy
-    cols = np.empty((cin,) + kernel + (t1 - t0, ho, wo), dtype=xp.dtype)
-    for tap, win in _taps(kernel, stride, t0, t1, ho, wo):
-        cols[(slice(None),) + tap] = xp[(item, slice(None)) + win]
-    return cols.reshape(-1, (t1 - t0) * ho * wo)
+def _plans(kernel, stride, padding, in_ext, out_ext, blocks):
+    """How to build the columns of each output block (t0, t1, r0, r1).
+
+    A plan is the block, the column strips to zero and the (column, input)
+    index pairs to copy, one pair per kernel tap that reads real input.
+    Each axis range is clipped once, however many blocks share it.
+    """
+    memo = {}
+
+    def clips(axis, a0, a1):
+        if (axis, a0, a1) not in memo:
+            memo[axis, a0, a1] = _axis_clips(kernel[axis], stride[axis], padding[axis],
+                                             in_ext[axis], a0, a1)
+        return memo[axis, a0, a1]
+
+    plans = []
+    for t0, t1, r0, r1 in blocks:
+        per_axis = (clips(0, t0, t1), clips(1, r0, r1), clips(2, 0, out_ext[2]))
+        strips = []
+        for axis, axis_clips in enumerate(per_axis):
+            for i, (_, _, pads) in enumerate(axis_clips):
+                for strip in pads:
+                    idx = [slice(None)] * 7
+                    idx[1 + axis], idx[4 + axis] = i, strip
+                    strips.append(tuple(idx))
+        copies = [((slice(None), i, j, k, dt, dh, dw), (slice(None), st, sh, sw))
+                  for (i, (st, dt, _)), (j, (sh, dh, _)), (k, (sw, dw, _))
+                  in itertools.product(*(enumerate(c) for c in per_axis))
+                  if st is not None and sh is not None and sw is not None]
+        plans.append(((t0, t1, r0, r1), strips, copies))
+    return plans
 
 
-def _col2im(gxp, dcols, item, t0, t1, kernel, stride, ho, wo):
-    """Scatter-add one tile's column gradients into the padded input gradient."""
-    dcols = dcols.reshape((gxp.shape[1],) + kernel + (t1 - t0, ho, wo))
-    for tap, win in _taps(kernel, stride, t0, t1, ho, wo):
-        gxp[(item, slice(None)) + win] += dcols[(slice(None),) + tap]
+def _even(extent, step):
+    """A step at most ``step`` that cuts ``extent`` into as few blocks as
+    ``step`` does, of nearly equal size: a small last block would make a
+    GEMM small enough for the BLAS to round it another way."""
+    return -(-extent // -(-extent // step))
+
+
+def _blocks(to, ho, t_step, r_step):
+    """Output blocks (t0, t1, r0, r1) of ``t_step`` frames by ``r_step`` rows."""
+    return [(t0, min(t0 + t_step, to), r0, min(r0 + r_step, ho))
+            for t0 in range(0, to, t_step) for r0 in range(0, ho, r_step)]
+
+
+def _im2col(x, item, plan, kernel, wo):
+    """Columns [cin*kt*kh*kw, frames*rows*wo] of one tile, read straight from
+    the unpadded input [N, Cin, T, H, W]; rows in weight order."""
+    (t0, t1, r0, r1), strips, copies = plan
+    cols = np.empty((x.shape[1],) + kernel + (t1 - t0, r1 - r0, wo), dtype=x.dtype)
+    for idx in strips:
+        cols[idx] = 0
+    xi = x[item]
+    for dst, src in copies:
+        cols[dst] = xi[src]
+    return cols.reshape(-1, (t1 - t0) * (r1 - r0) * wo)
+
+
+def _col2im(gx, dcols, item, plan, kernel, wo):
+    """Scatter-add one tile's column gradients into the unpadded input
+    gradient; entries that fall in the padding are dropped."""
+    (t0, t1, r0, r1), _, copies = plan
+    dcols = dcols.reshape((gx.shape[1],) + kernel + (t1 - t0, r1 - r0, wo))
+    gi = gx[item]
+    for dst, src in copies:
+        gi[src] += dcols[dst]
 
 
 def _conv(label, x, w, b, stride, padding):
@@ -495,19 +572,36 @@ def _conv(label, x, w, b, stride, padding):
     out_ext = tuple(_conv_check(e, k, p, s, a) for e, k, p, s, a
                     in zip(in_ext, kernel, padding, stride, "THW"))
     to, ho, wo = out_ext
-    xp = x.data.reshape((n, cin) + in_ext)
-    if any(padding):
-        xp = np.pad(xp, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+    xv = x.data.reshape((n, cin) + in_ext)
     w2 = w.data.reshape(cout, -1)
     _count(label, n * cout * to * ho * wo * w2.shape[1])
-    dtype = np.result_type(xp, w2)
-    # tiles: one batch item and a block of output frames whose columns fit
-    step = max(1, _TILE_BYTES // (w2.shape[1] * ho * wo * dtype.itemsize))
-    tiles = [(i, t0, min(t0 + step, to)) for i in range(n) for t0 in range(0, to, step)]
+    dtype = np.result_type(xv, w2)
+    # a 1x1x1 stride-1 conv is a channel matmul: the input is its own columns
+    channel_matmul = kernel == (1, 1, 1) and stride == (1, 1, 1) and not any(padding)
+
+    def tiles(blocks):
+        plans = _plans(kernel, stride, padding, in_ext, out_ext, blocks)
+        return [(item, plan) for item in range(n) for plan in plans]
+
+    def columns(item, plan):
+        if channel_matmul:
+            t0, t1, r0, r1 = plan[0]
+            return xv[item, :, t0:t1, r0:r1].reshape(cin, -1)  # no copy if contiguous
+        return _im2col(xv, item, plan, kernel, wo)
+
+    # forward tiles: whole frames under the cache-sized _COL_BYTES budget, or
+    # blocks of output rows when one frame's columns exceed it
+    row_bytes = w2.shape[1] * wo * xv.dtype.itemsize
+    if ho * row_bytes <= _COL_BYTES:
+        blocks = _blocks(to, ho, _even(to, _COL_BYTES // (ho * row_bytes)), ho)
+    else:
+        blocks = _blocks(to, ho, 1, _even(ho, max(1, _COL_BYTES // row_bytes)))
     out = np.empty((n, cout) + out_ext, dtype=dtype)
-    for item, t0, t1 in tiles:
-        cols = _im2col(xp, item, t0, t1, kernel, stride, ho, wo)
-        out[item, :, t0:t1] = (w2 @ cols).reshape(cout, t1 - t0, ho, wo)
+    out_cols = out.reshape(n, cout, -1)  # a block's outputs are one column range
+    for item, plan in tiles(blocks):
+        t0, t1, r0, r1 = plan[0]
+        np.matmul(w2, columns(item, plan),
+                  out=out_cols[item, :, (t0 * ho + r0) * wo:((t1 - 1) * ho + r1) * wo])
     if b is not None:
         out += b.data.reshape(cout, 1, 1, 1)
     parents = (x, w) if b is None else (x, w, b)
@@ -517,18 +611,21 @@ def _conv(label, x, w, b, stride, padding):
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2, 3, 4)))
         gw = np.zeros_like(w2) if w.requires_grad else None
-        gxp = np.zeros(xp.shape, dtype=dtype) if x.requires_grad else None
-        for item, t0, t1 in tiles:
+        gx = np.zeros(xv.shape, dtype=dtype) if x.requires_grad else None
+        # backward tiles: blocks of frames under _TILE_BYTES, as the weight
+        # gradient's rounding depends on them
+        step = max(1, _TILE_BYTES // (w2.shape[1] * ho * wo * dtype.itemsize))
+        for item, plan in tiles(_blocks(to, ho, step, ho)):
+            t0, t1 = plan[0][:2]
             gt = g[item, :, t0:t1].reshape(cout, -1)
             if gw is not None:
-                gw += gt @ _im2col(xp, item, t0, t1, kernel, stride, ho, wo).T
-            if gxp is not None:
-                _col2im(gxp, w2.T @ gt, item, t0, t1, kernel, stride, ho, wo)
+                gw += gt @ columns(item, plan).T
+            if gx is not None:
+                _col2im(gx, w2.T @ gt, item, plan, kernel, wo)
         if gw is not None:
             _accumulate(w, gw.reshape(w.shape))
-        if gxp is not None:
-            crop = tuple(slice(p, p + e) for e, p in zip(in_ext, padding))
-            _accumulate(x, gxp[(Ellipsis,) + crop].reshape(x.shape))
+        if gx is not None:
+            _accumulate(x, gx.reshape(x.shape))
 
     return _make(out.reshape((n, cout) + out_ext[5 - nd:]), parents, backward_fn)
 

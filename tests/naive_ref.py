@@ -68,6 +68,14 @@ def conv3d_loops(x, w, b, stride, padding):
     return out
 
 
+def pad_top_left_concat(x):
+    """[T, c, H, W] -> [T, c, H+1, W+1]: a zero row, then a zero column,
+    concatenated at the leading spatial edges."""
+    t, c, h, w = x.shape
+    x = np.concatenate([np.zeros((t, c, 1, w), dtype=x.dtype), x], axis=2)
+    return np.concatenate([np.zeros((t, c, h + 1, 1), dtype=x.dtype), x], axis=3)
+
+
 def estimation_scalar(y, masks):
     """Per-pixel scalar evaluation of the coarse-estimate formula."""
     b, h, w = masks.shape

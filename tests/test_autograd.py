@@ -113,9 +113,11 @@ class TestGradCheckOperators:
         assert report.passed, str(report)
 
     def test_conv3d(self, monkeypatch):
-        # each geometry with the default tile budget, then one frame per tile
-        for tile_bytes in (tn._TILE_BYTES, 1):
+        # each geometry with the default tile budgets, then one frame per
+        # backward tile and one output row per forward tile
+        for tile_bytes, col_bytes in ((tn._TILE_BYTES, tn._COL_BYTES), (1, 1)):
             monkeypatch.setattr(tn, "_TILE_BYTES", tile_bytes)
+            monkeypatch.setattr(tn, "_COL_BYTES", col_bytes)
             for case, (x_shape, w_shape, stride, padding) in CONV3D_CASES.items():
                 rng = np.random.default_rng(10)
                 x, w, b = leaf(rng, *x_shape), leaf(rng, *w_shape), leaf(rng, w_shape[0])

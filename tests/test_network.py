@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from scivid import forward_model as fm
 from scivid import network as net
 from scivid import tensor as tn
 from scivid.tensor import Tensor
-from naive_ref import scb_frame_loops
+from naive_ref import pad_top_left_concat, scb_frame_loops
 
 MICRO = net.NetworkConfig(channels=8, blocks=1, split=2, heads=1)
 
@@ -77,6 +79,20 @@ class TestStem:
         params = micro_params()
         with pytest.raises(tn.ShapeError, match="channels"):
             net.feature_extract(random_features(t=2, c=3, h=6, w=6), params, MICRO)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_top_left_pad_matches_concat(self, dtype):
+        x = random_features(t=3, c=2, h=4, w=6, seed=7).data.astype(dtype)
+        out = net._pad_top_left(Tensor(x)).data
+        assert out.dtype == dtype
+        assert np.array_equal(out, pad_top_left_concat(x))
+
+    def test_top_left_pad_grad_check(self):
+        x = random_features(t=2, c=2, h=3, w=4, seed=8)
+        x.requires_grad = True
+        weights = Tensor(np.random.default_rng(9).standard_normal((2, 2, 4, 5)))
+        report = tn.grad_check(lambda u: tn.tsum(tn.mul(net._pad_top_left(u), weights)), [x])
+        assert report.passed, str(report)
 
 
 class TestBranches:
@@ -220,3 +236,25 @@ class TestBlocksAndHead:
         a = net.network_forward(meas, masks, params, MICRO)
         b = net.network_forward(meas, masks, params, MICRO)
         assert np.array_equal(a.frames, b.frames)
+
+
+class TestMemory:
+    def test_variant_t_peak_stays_near_the_largest_activation(self):
+        # tracemalloc counts numpy's buffers whatever the BLAS thread count.
+        # The largest activation is stem.conv2's output; conv columns come
+        # in cache-sized tiles and no conv input is copied padded, so the
+        # peak stays under 3 of it (about 2: that output and its leaky-ReLU).
+        config = net.NetworkConfig.variant("T")
+        b, size = 8, 64
+        params = net.build_network(config, seed=0)
+        masks = fm.generate_masks(b, size, size, seed=3)
+        video = fm.VideoCube(np.random.default_rng(4).uniform(0, 1, (b, 1, size, size)))
+        meas = fm.encode(video, masks)
+        largest = 2 * config.channels * b * size * size * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            net.network_forward(meas, masks, params, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * largest, f"peak {peak / 1e6:.1f} MB, largest activation {largest / 1e6:.1f} MB"

@@ -32,6 +32,25 @@ class TestElementwise:
         out = tn.leaky_relu(x)
         assert np.allclose(out.data, [-0.02, -0.005, 0.0, 0.5, 2.0])
 
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_leaky_relu_bits_match_where_form(self, dtype, bits):
+        info = np.finfo(dtype)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                            info.smallest_subnormal, -info.smallest_subnormal,
+                            info.tiny, -info.tiny, 1.5, -1.5, info.max, -info.max], dtype=dtype)
+        payloads = np.array([0x7FC00123, 0xFFC00456] if dtype == np.float32 else
+                            [0x7FF8000000000123, 0xFFF8000000000456], dtype=bits).view(dtype)
+        x = np.tile(np.concatenate([special, payloads]), 5)  # long enough for SIMD loops
+        expect = np.where(x > 0, x, tn.LEAKY_SLOPE * x)
+        leaf = Tensor(x, requires_grad=True)
+        out = tn.leaky_relu(leaf)
+        assert out.dtype == dtype
+        assert np.array_equal(out.data.view(bits), expect.view(bits))
+        with np.errstate(invalid="ignore"):  # inf + -inf in the sum; its gradient is 1
+            total = tn.tsum(out)
+        tn.backward(total)  # the slope at exactly 0: the mask is x > 0
+        assert np.array_equal(leaf.grad, np.where(x > 0, 1.0, tn.LEAKY_SLOPE).astype(dtype))
+
 
 class TestShapes:
     def test_reshape_roundtrip(self):
@@ -57,6 +76,8 @@ class TestShapes:
         parts = tn.split(x, [3, 7], axis=0)
         assert np.array_equal(parts[0].data, np.arange(3.0))
         assert np.array_equal(parts[1].data, np.arange(3.0, 10.0))
+        # pieces are views: graph tensors are never mutated, so nothing is copied
+        assert all(np.shares_memory(p.data, x.data) for p in parts)
 
     def test_split_indivisible_errors(self):
         with pytest.raises(tn.ShapeError):
@@ -160,6 +181,33 @@ class TestConv3d:
         ref = conv3d_loops(x, w, b, (1, 1, 1), (1, 1, 1))
         assert np.max(np.abs(out.data - ref)) <= 1e-6 * max(1.0, np.abs(ref).max())
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_tiles_are_bit_equal(self, monkeypatch, dtype):
+        # Forward tiles only cut the columns into GEMMs, and the zeros read in
+        # place of padding are the same zeros, so every forward budget gives
+        # the same bits: the default, one output row per tile, a whole item.
+        # A GEMM column's rounding depends on its place in the BLAS column
+        # blocks, so the output is 16 wide, as network widths are multiples
+        # of 16.  Geometries: the network's, stem.conv3 with stride (1, 2, 2).
+        rng = np.random.default_rng(14)
+        ho, wo = 4, 16
+        for name, (x_shape, w_shape, stride, padding) in NETWORK_CONV3D.items():
+            h = (ho - 1) * stride[1] + w_shape[3] - 2 * padding[1]
+            w = (wo - 1) * stride[2] + w_shape[4] - 2 * padding[2]
+            x, wt, b = rand(rng, *x_shape[:3], h, w), rand(rng, *w_shape), rand(rng, w_shape[0])
+            outs = []
+            for budget in (tn._COL_BYTES, 1, 1 << 40):
+                monkeypatch.setattr(tn, "_COL_BYTES", budget)
+                outs.append(tn.conv3d(Tensor(x, dtype=dtype), Tensor(wt, dtype=dtype),
+                                      Tensor(b, dtype=dtype), stride=stride, padding=padding).data)
+            monkeypatch.undo()
+            assert outs[0].shape[3:] == (ho, wo), name
+            for out in outs[1:]:
+                assert np.array_equal(out, outs[0]), name
+            if dtype == np.float64:
+                ref = conv3d_loops(x, wt, b, stride, padding)
+                assert np.max(np.abs(outs[0] - ref)) <= 1e-12 * max(1.0, np.abs(ref).max()), name
+
 
 class TestRandomizedAgainstLoops:
     """Forward operators agree with naive-loop references on >=100 random
@@ -187,9 +235,9 @@ class TestRandomizedAgainstLoops:
 
     def test_conv3d_random_cases(self, monkeypatch):
         rng = np.random.default_rng(11)
-        # the network's geometries with the default tile budget, then one frame per tile
-        for tile_bytes in (tn._TILE_BYTES, 1):
-            monkeypatch.setattr(tn, "_TILE_BYTES", tile_bytes)
+        # the network's geometries with the default forward budget, then one row per tile
+        for col_bytes in (tn._COL_BYTES, 1):
+            monkeypatch.setattr(tn, "_COL_BYTES", col_bytes)
             for x_shape, w_shape, stride, padding in NETWORK_CONV3D.values():
                 x, wt, b = rand(rng, *x_shape), rand(rng, *w_shape), rand(rng, w_shape[0])
                 out = tn.conv3d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding)
