@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 usage/format error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -108,16 +109,16 @@ def cmd_reconstruct(args):
     return 0
 
 
-_TRAIN_KEYS = {
-    "variant": str, "color": lambda s: s.lower() in ("1", "true", "yes"),
-    "b": int, "crop": int, "count": int, "batch": int, "seed": int,
-    "epochs_phase1": int, "epochs_phase2": int,
-    "lr_initial": float, "lr_final": float, "grad_clip": float,
-    "random_crop": lambda s: s.lower() in ("1", "true", "yes"),
-    "random_scale": lambda s: s.lower() in ("1", "true", "yes"),
-    "random_flip": lambda s: s.lower() in ("1", "true", "yes"),
-    "channels": int, "blocks": int, "split": int, "heads": int,
-}
+def _parse_bool(text):
+    return text.lower() in ("1", "true", "yes")
+
+
+# every TrainConfig field, parsed by the type of its default, plus the
+# network keys
+_TRAIN_KEYS = {f.name: _parse_bool if isinstance(f.default, bool) else type(f.default)
+               for f in dataclasses.fields(TrainConfig)}
+_TRAIN_KEYS.update(variant=str, color=_parse_bool,
+                   channels=int, blocks=int, split=int, heads=int)
 
 
 def cmd_train(args):

@@ -110,7 +110,10 @@ def read_bundle(path):
     sep = buf.find(b"\n\n")
     if sep < 0:
         raise FormatError("bundle manifest terminator not found")
-    manifest = buf[:sep].decode("utf-8")
+    try:
+        manifest = buf[:sep].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"bundle manifest is not UTF-8 ({exc.reason})") from None
     base = sep + 2
     arrays = {}
     for line in manifest.splitlines():
@@ -121,6 +124,11 @@ def read_bundle(path):
             offset, length = int(offset_s), int(length_s)
         except ValueError as exc:
             raise FormatError(f"malformed manifest line {line!r}") from exc
+        if name in arrays:
+            raise FormatError(f"duplicate bundle entry {name!r}")
+        if offset < 0 or length < 0 or base + offset + length > len(buf):
+            raise FormatError(f"bundle entry {name!r} lies outside the file "
+                              f"(offset {offset}, length {length})")
         arr, used = tensor_from_bytes(buf, base + offset)
         if used != length:
             raise FormatError(f"container length mismatch for {name!r}")
@@ -139,15 +147,26 @@ def write_measurement(path, measurement):
     })
 
 
+def _scalar(arr, key, integer=False):
+    """The value of the bundle entry ``key``, which must be a scalar."""
+    if arr.shape != ():
+        raise FormatError(f"entry {key!r} must be a scalar, got shape {arr.shape}")
+    value = float(arr)
+    if integer and not value.is_integer():
+        raise FormatError(f"entry {key!r} must be an integer, got {value}")
+    return int(value) if integer else value
+
+
 def read_measurement(path):
     from .forward_model import Measurement
     arrays = read_bundle(path)
     for key in ("y", "meta.b", "meta.color", "meta.noise_sigma"):
         if key not in arrays:
             raise FormatError(f"measurement bundle missing entry {key!r}")
-    color = "gray" if float(arrays["meta.color"]) == 0.0 else "bayer_rggb"
-    return Measurement(y=arrays["y"], b=int(arrays["meta.b"]),
-                       color_mode=color, noise_sigma=float(arrays["meta.noise_sigma"]))
+    color = "gray" if _scalar(arrays["meta.color"], "meta.color") == 0.0 else "bayer_rggb"
+    return Measurement(y=arrays["y"], b=_scalar(arrays["meta.b"], "meta.b", integer=True),
+                       color_mode=color,
+                       noise_sigma=_scalar(arrays["meta.noise_sigma"], "meta.noise_sigma"))
 
 
 _CONFIG_META_KEYS = ("channels", "blocks", "split", "heads",
@@ -170,7 +189,7 @@ def read_checkpoint(path):
         full = f"meta.{key}"
         if full not in arrays:
             raise FormatError(f"checkpoint missing config entry {full!r}")
-        kwargs[key] = int(arrays.pop(full))
+        kwargs[key] = _scalar(arrays.pop(full), full, integer=True)
     return NetworkConfig(**kwargs), arrays
 
 

@@ -129,11 +129,15 @@ class ParamStore:
         return {name: t.data for name, t in self._tensors.items()}
 
     def load_arrays(self, arrays):
+        from .container import FormatError  # not at import: `import scivid` skips container
+        extra = sorted(set(arrays) - set(self._tensors))
+        if extra:
+            raise FormatError(f"checkpoint has unknown parameter(s) {extra}")
         for name, t in self._tensors.items():
             if name not in arrays:
-                raise KeyError(f"checkpoint missing parameter {name!r}")
+                raise FormatError(f"checkpoint missing parameter {name!r}")
             if tuple(arrays[name].shape) != t.shape:
-                raise ValueError(
+                raise FormatError(
                     f"shape mismatch for {name!r}: {arrays[name].shape} vs {t.shape}")
             t.data = np.ascontiguousarray(arrays[name], dtype=t.data.dtype)
 

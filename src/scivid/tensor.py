@@ -6,6 +6,13 @@ its inputs, and ``backward`` replays adjoints in reverse topological
 order.  Tensors that take part in a recorded graph must not be mutated in
 place afterwards.
 
+``backward`` consumes the graph it runs: as soon as an op output's adjoint
+has run, that output drops its gradient, its adjoint and its links to its
+inputs, so each activation is freed once the last adjoint that reads it has
+run.  Leaves (tensors made directly, such as parameters) keep their
+``grad``.  A graph can be differentiated once; a second ``backward`` through
+any of its op outputs raises ``RuntimeError``.
+
 Convolution has one kernel: ``conv2d`` is ``conv3d`` with T = kt = 1.  The
 forward builds im2col columns one tile at a time and runs one GEMM per
 tile, writing straight into the output.  A forward tile is one batch item
@@ -226,12 +233,14 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _accumulate(t, g):
+def _accumulate(t, g, at=None):
+    """Add ``g`` into ``t.grad``, or into the region ``t.grad[at]``."""
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g.astype(t.data.dtype, copy=False)
+    grad = t.grad if at is None else t.grad[at]
+    grad += g.astype(t.data.dtype, copy=False)
 
 
 # -- elementwise ---------------------------------------------------------
@@ -370,20 +379,15 @@ def split(x, parts, axis=0):
     outs = []
     offset = 0
     for size in sizes:
-        lo, hi = offset, offset + size
-        offset = hi
         idx = [slice(None)] * x.ndim
-        idx[axis] = slice(lo, hi)
-        piece = x.data[tuple(idx)]
+        idx[axis] = slice(offset, offset + size)
+        idx = tuple(idx)
+        offset += size
 
-        def backward_fn(g, lo=lo, hi=hi):
-            full = np.zeros_like(x.data)
-            idx2 = [slice(None)] * x.ndim
-            idx2[axis] = slice(lo, hi)
-            full[tuple(idx2)] = g
-            _accumulate(x, full)
+        def backward_fn(g, idx=idx):
+            _accumulate(x, g, at=idx)
 
-        outs.append(_make(piece, (x,), backward_fn))  # a view: graph tensors are never mutated
+        outs.append(_make(x.data[idx], (x,), backward_fn))  # a view: graph tensors are never mutated
     return outs
 
 
@@ -710,17 +714,33 @@ def _topo_order(root):
     return order
 
 
+def _consumed(g=None):
+    """The adjoint of an op output whose graph ``backward`` has consumed."""
+    raise RuntimeError("backward already ran through this graph and freed it; "
+                       "build the graph again to differentiate it again")
+
+
 def backward(loss):
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``."""
+    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
+
+    Consumes the graph: each op output drops its ``grad``, adjoint and
+    parent links as soon as its adjoint has run.
+    """
     if loss.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
+    if any(node._backward is _consumed for node in order):
+        _consumed()  # before any grad is touched
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue  # a leaf keeps its grad
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, _consumed, ()
 
 
 # -- gradient checking ----------------------------------------------------

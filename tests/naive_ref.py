@@ -1,12 +1,17 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written as plain nested loops or direct
-scalar formulas, sharing no code with the library paths it checks.
+scalar formulas, sharing no code with the library paths it checks.  The
+autograd oracles at the end are the exception: they run the library's own
+adjoints, but keep the whole tape (``backward_keep_tape``) or add full-size
+buffers (``split_full_buffers``), so tests can compare the bits.
 """
 
 import math
 
 import numpy as np
+
+from scivid import tensor as tn
 
 # The conv3d geometries of the network, at test sizes:
 # name -> (input shape, weight shape, stride, padding).
@@ -203,3 +208,43 @@ def gap_tv_plane(y_plane, masks, iters, tv_weight, tv_inner, projection):
         if tv_weight > 0:
             x = np.stack([tv_denoise_frame(fr, tv_weight, tv_inner) for fr in x])
     return x
+
+
+def bits(a):
+    """The raw bits of a float array, so -0 and +0 (and NaN payloads) differ."""
+    return a.view(np.dtype(f"u{a.itemsize}"))
+
+
+def backward_keep_tape(loss):
+    """Reverse-mode pass that keeps the whole tape: every node's ``grad``,
+    adjoint and parent links stay alive after the pass (the library's
+    ``tn.backward`` consumes them).  Same adjoints in the same order."""
+    order = tn._topo_order(loss)
+    for node in order:
+        node.grad = None
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def split_full_buffers(x, parts, axis=0):
+    """``tn.split`` whose adjoint adds a full-size zero buffer, holding the
+    piece's gradient in its slice, into ``x.grad``."""
+    x = tn._as_tensor(x)
+    sizes = [x.shape[axis] // parts] * parts if isinstance(parts, int) else list(parts)
+    outs = []
+    offset = 0
+    for size in sizes:
+        lo, hi = offset, offset + size
+        offset = hi
+        idx = [slice(None)] * x.ndim
+        idx[axis] = slice(lo, hi)
+
+        def backward_fn(g, idx=tuple(idx)):
+            full = np.zeros_like(x.data)
+            full[idx] = g
+            tn._accumulate(x, full)
+
+        outs.append(tn._make(x.data[tuple(idx)], (x,), backward_fn))
+    return outs

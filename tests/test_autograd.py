@@ -4,7 +4,7 @@ import pytest
 from scivid import tensor as tn
 from scivid.tensor import Tensor, backward, grad_check
 
-from naive_ref import NETWORK_CONV3D
+from naive_ref import NETWORK_CONV3D, backward_keep_tape, bits, split_full_buffers
 
 CONV3D_CASES = dict(NETWORK_CONV3D, base=((1, 2, 3, 4, 4), (2, 2, 3, 3, 3), (1, 1, 1), (1, 1, 1)))
 
@@ -43,6 +43,74 @@ class TestBackwardBasics:
         y = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
         backward(tn.tsum(x))
         assert y.grad is None  # callers treat missing grads as zero
+
+
+class TestTapeIsConsumed:
+    def test_op_outputs_drop_their_tape_and_leaves_keep_grad(self):
+        rng = np.random.default_rng(10)
+        x = leaf(rng, 3, 4)
+        h = tn.mul(x, x)
+        loss = tn.tsum(h)
+        backward(loss)
+        for node in (h, loss):
+            assert node.grad is None and node._parents == ()
+        assert np.array_equal(x.grad, 2 * x.data)
+        assert np.array_equal(h.data, x.data * x.data)  # values stay readable
+
+    def test_second_backward_raises_and_keeps_leaf_grads(self):
+        rng = np.random.default_rng(11)
+        x = leaf(rng, 5)
+        loss = tn.tsum(tn.mul(x, x))
+        backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already ran"):
+            backward(loss)
+        assert np.array_equal(x.grad, first)
+
+    def test_backward_through_a_consumed_subgraph_raises_first(self):
+        rng = np.random.default_rng(12)
+        x = leaf(rng, 4)
+        h = tn.mul(x, x)
+        backward(tn.tsum(h))
+        with pytest.raises(RuntimeError, match="already ran"):
+            backward(tn.tsum(tn.add(tn.mul(h, 2.0), x)))
+        assert np.array_equal(x.grad, 2 * x.data)  # raised before any grad changed
+
+    def test_leaf_loss_still_gets_a_grad(self):
+        x = Tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
+        backward(x)
+        backward(x)  # a leaf has no tape to consume
+        assert x.grad == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis, parts", [(0, 3), (1, [1, 4, 2]), (2, 2)])
+    def test_split_adjoint_bits_match_full_buffers(self, monkeypatch, dtype, axis, parts):
+        # Each piece's gradient is added into its own slice of x.grad; the
+        # oracle adds a full-size zero buffer per piece.  Weights with -0
+        # entries give -0 piece gradients, and the last piece is unused.
+        rng = np.random.default_rng(13)
+        shape = (6, 7, 4)
+        data = rng.standard_normal(shape).astype(dtype)
+        weights = rng.standard_normal(shape).astype(dtype)
+        weights[rng.random(shape) < 0.3] = -0.0
+
+        def grads(split, run_backward):
+            x = Tensor(data.copy(), requires_grad=True)
+            w = Tensor(weights, requires_grad=True)
+            pieces = split(tn.mul(x, w), parts, axis=axis)
+            index = [slice(None)] * 3
+            offset, total = 0, tn.tsum(tn.mul(x, x))
+            for piece in pieces[:-1]:
+                index[axis] = slice(offset, offset + piece.shape[axis])
+                offset += piece.shape[axis]
+                total = tn.add(total, tn.tsum(tn.mul(piece, Tensor(weights[tuple(index)]))))
+            run_backward(total)
+            return x.grad, w.grad
+
+        new = grads(tn.split, backward)
+        old = grads(split_full_buffers, backward_keep_tape)
+        for a, b in zip(new, old):
+            assert a.dtype == dtype and np.array_equal(bits(a), bits(b))
 
 
 class TestGradCheckOperators:

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from scivid import cli, container
 from scivid import forward_model as fm
 from scivid.network import NetworkConfig, build_network
-from scivid.training import make_synthetic_dataset
+from scivid.training import TrainConfig, make_synthetic_dataset
 
 
 @pytest.fixture
@@ -122,6 +124,59 @@ class TestReconstruct:
         assert not (tmp / "r").exists()
 
 
+def damaged_checkpoint(path, change):
+    """A C=8 checkpoint with one boundary defect."""
+    config = NetworkConfig(channels=8, blocks=1, split=2, heads=1)
+    container.write_checkpoint(path, build_network(config, seed=0), config)
+    arrays = container.read_bundle(path)
+    if change == "missing parameter":
+        arrays.pop("head.conv3.w")
+    elif change == "extra parameter":
+        arrays["head.conv4.w"] = np.zeros((1, 1, 3, 3), np.float32)
+    elif change == "non-scalar meta":
+        arrays["meta.channels"] = np.full(2, 8.0)
+    container.write_bundle(path, arrays)
+    raw = path.read_bytes()
+    if change == "duplicate name":
+        first = raw[:raw.index(b"\n") + 1]
+        path.write_bytes(first + raw)
+    elif change == "negative offset":
+        first = raw[:raw.index(b"\n")]
+        name, offset, length = first.split(b"\t")
+        path.write_bytes(b"\t".join([name, b"-" + length, length]) + raw[len(first):])
+    elif change == "non-UTF-8 manifest":
+        path.write_bytes(b"\xff" + raw)
+
+
+class TestBoundaryExitCodes:
+    """Damaged inputs to ``reconstruct --method net`` exit 2, no traceback."""
+
+    @pytest.mark.parametrize("change", ["missing parameter", "extra parameter", "non-scalar meta",
+                                        "duplicate name", "negative offset",
+                                        "non-UTF-8 manifest"])
+    def test_damaged_checkpoint(self, measurement_files, capsys, change):
+        tmp, _, meas_path, masks_path = measurement_files
+        ckpt = tmp / "net.ckpt"
+        damaged_checkpoint(ckpt, change)
+        assert run(["reconstruct", "--measurement", meas_path, "--masks", masks_path,
+                    "--method", "net", "--checkpoint", ckpt,
+                    "--out", tmp / "r"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp / "r").exists()
+
+    @pytest.mark.parametrize("key", ["meta.b", "meta.color", "meta.noise_sigma"])
+    def test_non_scalar_measurement_meta(self, measurement_files, capsys, key):
+        tmp, _, meas_path, masks_path = measurement_files
+        arrays = container.read_bundle(meas_path)
+        arrays[key] = np.zeros(2)
+        container.write_bundle(meas_path, arrays)
+        assert run(["reconstruct", "--measurement", meas_path, "--masks", masks_path,
+                    "--method", "gaptv", "--out", tmp / "r"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "scalar" in err and "Traceback" not in err
+
+
 class TestTrainEval:
     def test_train_then_reconstruct_and_eval(self, tmp_path, capsys):
         cfg_path = tmp_path / "train.cfg"
@@ -157,6 +212,17 @@ class TestTrainEval:
                     "--ssim-window", 7]) == 0
         table = capsys.readouterr().out
         assert "PSNR(dB)" in table and "mean" in table
+
+    def test_config_keys_are_the_train_config_fields_and_network_keys(self):
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert set(cli._TRAIN_KEYS) == fields | {"variant", "color", "channels",
+                                                 "blocks", "split", "heads"}
+        parse = cli._TRAIN_KEYS
+        assert parse["random_flip"]("Yes") is True and parse["color"]("0") is False
+        assert parse["lr_initial"]("1e-3") == 1e-3 and type(parse["grad_clip"]("1")) is float
+        assert parse["crop"]("32") == 32 and parse["variant"]("S") == "S"
+        with pytest.raises(ValueError):
+            parse["batch"]("2.5")
 
     def test_unknown_config_key(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"

@@ -109,6 +109,57 @@ class TestBundles:
             ct.read_bundle(path)
 
 
+def raw_bundle(path, entries, blobs, manifest_suffix=b""):
+    """A bundle with a hand-written manifest of (name, offset, length)."""
+    manifest = "".join(f"{n}\t{o}\t{l}\n" for n, o, l in entries).encode("utf-8")
+    path.write_bytes(manifest + manifest_suffix + b"\n" + b"".join(blobs))
+
+
+class TestBundleBoundaries:
+    blob = ct.tensor_to_bytes(np.arange(3, dtype=np.float32))
+
+    def test_duplicate_names(self, tmp_path):
+        other = ct.tensor_to_bytes(np.zeros(3, dtype=np.float32))
+        raw_bundle(tmp_path / "b", [("x", 0, len(self.blob)), ("x", len(self.blob), len(other))],
+                   [self.blob, other])
+        with pytest.raises(ct.FormatError, match="duplicate"):
+            ct.read_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("offset, length", [(-1, 24), (0, -24), (-24, -24), (8, 24), (10 ** 9, 24)])
+    def test_entry_outside_the_file(self, tmp_path, offset, length):
+        raw_bundle(tmp_path / "b", [("x", offset, length)], [self.blob])
+        with pytest.raises(ct.FormatError, match="outside"):
+            ct.read_bundle(tmp_path / "b")
+
+    def test_non_utf8_manifest(self, tmp_path):
+        raw_bundle(tmp_path / "b", [("x", 0, len(self.blob))], [self.blob],
+                   manifest_suffix=b"\xff\xfe\n")
+        with pytest.raises(ct.FormatError, match="UTF-8"):
+            ct.read_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("value", [np.zeros(2), np.ones((1, 1))])
+    @pytest.mark.parametrize("key", ["meta.b", "meta.color", "meta.noise_sigma"])
+    def test_non_scalar_measurement_meta(self, tmp_path, key, value):
+        arrays = {"y": np.zeros((4, 4)), "meta.b": np.float64(2),
+                  "meta.color": np.float64(0), "meta.noise_sigma": np.float64(0)}
+        arrays[key] = value
+        ct.write_bundle(tmp_path / "m", arrays)
+        with pytest.raises(ct.FormatError, match="scalar"):
+            ct.read_measurement(tmp_path / "m")
+
+    @pytest.mark.parametrize("value, match", [(np.zeros(2), "scalar"), (np.float64(2.5), "integer"),
+                                              (np.float64(np.inf), "integer"),
+                                              (np.float64(np.nan), "integer")])
+    def test_bad_checkpoint_meta(self, tmp_path, value, match):
+        config = NetworkConfig(channels=8, blocks=1, split=2, heads=1)
+        ct.write_checkpoint(tmp_path / "c", build_network(config), config)
+        arrays = ct.read_bundle(tmp_path / "c")
+        arrays["meta.blocks"] = value
+        ct.write_bundle(tmp_path / "c", arrays)
+        with pytest.raises(ct.FormatError, match=match):
+            ct.read_checkpoint(tmp_path / "c")
+
+
 class TestMeasurementAndCheckpoint:
     def test_measurement_roundtrip(self, tmp_path):
         meas = Measurement(y=np.random.default_rng(0).uniform(0, 4, (6, 6)),
@@ -130,6 +181,19 @@ class TestMeasurementAndCheckpoint:
         fresh.load_arrays(arrays)
         for name, t in params.items():
             assert np.array_equal(fresh[name].data, t.data)
+
+    @pytest.mark.parametrize("change, match", [("drop", "missing parameter"),
+                                               ("extra", "unknown parameter")])
+    def test_load_arrays_needs_exactly_the_parameters(self, change, match):
+        config = NetworkConfig(channels=8, blocks=1, split=2, heads=1)
+        params = build_network(config, seed=3)
+        arrays = dict(params.state_arrays())
+        if change == "drop":
+            del arrays[params.names()[-1]]
+        else:
+            arrays["head.extra.w"] = np.zeros(2, np.float32)
+        with pytest.raises(ct.FormatError, match=match):
+            build_network(config).load_arrays(arrays)
 
     def test_checkpoint_missing_meta(self, tmp_path):
         path = tmp_path / "c.ckpt"
